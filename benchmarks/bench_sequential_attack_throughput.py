@@ -1,13 +1,14 @@
-"""Throughput of the batched sequential-attack DIS loop versus the scalar path.
+"""Throughput of the batched sequential-attack DIS loop versus unit batches.
 
 The sequential oracle-guided attacks (BMC/"BBO", INT, KC2) spend their time
-in the Discriminating-Input-Sequence refinement loop.  PR 2 rebuilt that loop
-on the packed engine: up to ``dis_batch`` DISes are harvested per solver
-round behind activation-gated blocking clauses and answered by one
-lane-parallel ``BatchedSequentialOracle.query_batch`` pass.  The workload is
-SARLock on the embedded ISCAS'89 ``s5378`` profile — the canonical "one DIS
-per wrong key" scheme, so both engines execute the identical number of DIS
-rounds and rounds/second compare identical work.
+in the Discriminating-Input-Sequence refinement loop.  Up to ``dis_batch``
+DISes are harvested per solver round behind activation-gated blocking
+clauses and answered by one lane-parallel
+``BatchedSequentialOracle.query_batch`` pass.  The bench races
+``dis_batch=16`` against the same loop at ``dis_batch=1, key_batch=1``.  The
+workload is SARLock on the embedded ISCAS'89 ``s5378`` profile — the
+canonical "one DIS per wrong key" scheme, so both sides execute the
+identical number of DIS rounds and rounds/second compare identical work.
 
 Workloads, smoke scaling and the speedup bars (3x full, 2x smoke) live in
 the :mod:`repro.perf` registry (``repro/perf/suites/attacks.py``); the

@@ -9,10 +9,9 @@ red "x..x" outcome in the paper's tables.
 
 Like :func:`~repro.attacks.sat_attack.sat_attack`, the DIP loop harvests up
 to ``dip_batch`` DIPs per round behind activation-gated blocking clauses and
-answers them with one batched oracle pass (``engine="packed"``, the
-default); the error-sampling cadence is preserved — the candidate key is
-re-sampled whenever the iteration count crosses a ``settle_rounds``
-boundary.  ``engine="scalar"`` keeps the original one-DIP-per-call path.
+answers them with one batched oracle pass; the error-sampling cadence is
+preserved — the candidate key is re-sampled whenever the iteration count
+crosses a ``settle_rounds`` boundary.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from repro.attacks.sat_attack import (
     _as_locked_pair,
 )
 from repro.engine.batch_oracle import BatchedCombinationalOracle
-from repro.engine.packed import PackedSimulator, parse_engine
+from repro.engine.packed import PackedSimulator
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit
 from repro.sat.session import DEFAULT_BACKEND, SolveSession
@@ -48,7 +47,6 @@ def appsat_attack(
     verify_vectors: int = 256,
     seed: int = 0,
     dip_batch: int = 8,
-    engine: str = "packed",
     solver_backend: str = DEFAULT_BACKEND,
 ) -> AttackResult:
     """Run the AppSAT approximate attack.
@@ -60,16 +58,12 @@ def appsat_attack(
     attack (an approximate key that fails full verification is reported as
     ``WRONG_KEY``).
 
-    ``dip_batch``/``engine`` control batched DIP harvesting exactly as in
-    :func:`~repro.attacks.sat_attack.sat_attack` (``engine="scalar"``
-    restores the one-DIP-per-solver-call reference path), and
-    ``solver_backend`` selects the session's solver backend.
+    ``dip_batch`` bounds batched DIP harvesting exactly as in
+    :func:`~repro.attacks.sat_attack.sat_attack`, and ``solver_backend``
+    selects the session's solver backend.
     """
-    batched, backend = parse_engine(engine)
     if dip_batch < 1:
         raise ValueError("dip_batch must be at least 1")
-    if not batched:
-        dip_batch = 1
 
     locked_circuit, original = _as_locked_pair(locked, oracle_circuit)
     start = time.monotonic()
@@ -80,8 +74,8 @@ def appsat_attack(
                             details={"reason": "circuit has no key inputs"})
 
     locked_view = locked_circuit.combinational_view() if locked_circuit.dffs else locked_circuit
-    oracle = BatchedCombinationalOracle(original, backend=backend)
-    locked_sim = PackedSimulator(locked_view, backend=backend)
+    oracle = BatchedCombinationalOracle(original)
+    locked_sim = PackedSimulator(locked_view)
 
     key_nets = list(locked_view.key_inputs)
     functional_nets = [n for n in locked_view.inputs if n not in set(key_nets)]
@@ -150,8 +144,7 @@ def appsat_attack(
             attack="appsat", outcome=outcome, key=key,
             iterations=harvester.iterations,
             runtime_seconds=time.monotonic() - start,
-            details={"oracle_queries": oracle.queries, "engine": engine,
-                     "dip_rounds": dip_rounds,
+            details={"oracle_queries": oracle.queries, "dip_rounds": dip_rounds,
                      "solver": session.telemetry.to_dict(), **details},
         )
 
@@ -165,7 +158,7 @@ def appsat_attack(
     # Harvest quota ramps 1, 2, 4, ... like the exact attack, but never past
     # the next settle boundary: the sampling cadence (every ``settle_rounds``
     # DIP iterations) is part of AppSAT's semantics, and a round that
-    # overshot it would skip an early-exit opportunity the scalar path took.
+    # overshot it would skip an early-exit opportunity a unit batch takes.
     round_quota = 1
     next_settle = settle_rounds
     harvest_rounds = 0
@@ -187,11 +180,7 @@ def appsat_attack(
             round_quota = min(round_quota * 2, dip_batch)
         if harvested:
             dip_rounds += 1
-            if batched:
-                responses = oracle.query_batch(harvested)
-            else:
-                responses = [oracle.query(dip) for dip in harvested]
-            for dip, response in zip(harvested, responses):
+            for dip, response in zip(harvested, oracle.query_batch(harvested)):
                 add_dip_constraints(dip, response)
         elif harvester.solver_limited:
             return finish(AttackOutcome.TIMEOUT, reason="solver limit during DIP search")

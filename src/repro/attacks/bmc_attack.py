@@ -31,7 +31,6 @@ def bmc_attack(
     conflict_limit: Optional[int] = 200_000,
     dis_batch: int = 8,
     key_batch: int = 8,
-    engine: str = "packed",
     solver_backend: str = DEFAULT_BACKEND,
     proof_dir: Optional[Union[str, Path]] = None,
 ) -> AttackResult:
@@ -39,8 +38,7 @@ def bmc_attack(
 
     ``dis_batch`` DISes are harvested per solver rebuild and answered by one
     lane-parallel oracle pass — for this mode that also amortizes the
-    rebuild, its dominant per-query cost.  ``engine="scalar"`` restores the
-    original one-DIS-per-rebuild reference path.
+    rebuild, its dominant per-query cost.
     """
     return sequential_oracle_guided_attack(
         locked,
@@ -55,7 +53,6 @@ def bmc_attack(
         conflict_limit=conflict_limit,
         dis_batch=dis_batch,
         key_batch=key_batch,
-        engine=engine,
         solver_backend=solver_backend,
         proof_dir=proof_dir,
     )

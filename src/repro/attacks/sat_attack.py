@@ -14,16 +14,16 @@ eliminate every static key, and the final key-extraction step reports the
 "condition not solvable" outcome the paper's tables show.
 
 The refinement loop rides the packed engine the same way the sequential
-attacks do (``engine="packed"``, the default): up to ``dip_batch`` distinct
-DIPs are harvested per round behind activation-gated blocking clauses —
-scoped to the round, so an unassumed activation variable keeps every later
-solve unaffected — and all of them are answered by one lane-parallel
+attacks do: up to ``dip_batch`` distinct DIPs are harvested per round behind
+activation-gated blocking clauses — scoped to the round, so an unassumed
+activation variable keeps every later solve unaffected — and all of them are
+answered by one lane-parallel
 :meth:`~repro.engine.batch_oracle.BatchedCombinationalOracle.query_batch`
-pass.  ``engine="scalar"`` keeps the original one-DIP-per-solver-call
-reference path.  Both engines prove the same facts, so the semantic verdicts
-(CORRECT / WRONG_KEY / CNS) agree whenever both run to convergence; under a
-*tight* ``max_iterations`` the batched path may spend part of the budget on
-speculatively harvested DIPs the scalar path never needed, so budget-bound
+pass.  ``dip_batch=1`` harvests one DIP per solver call.  Every batch width
+proves the same facts, so the semantic verdicts (CORRECT / WRONG_KEY / CNS)
+agree whenever the attack runs to convergence; under a *tight*
+``max_iterations`` a wide batch may spend part of the budget on
+speculatively harvested DIPs a narrower one never needed, so budget-bound
 outcomes (TIMEOUT) can differ near the cap.
 """
 
@@ -35,7 +35,6 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.attacks.results import AttackOutcome, AttackResult
 from repro.engine.batch_oracle import BatchedCombinationalOracle
-from repro.engine.packed import parse_engine
 from repro.locking.base import LockedCircuit
 from repro.netlist.circuit import Circuit, CircuitError
 from repro.sat.session import DEFAULT_BACKEND, SolveSession
@@ -64,7 +63,7 @@ class _DipHarvester:
     records whether the miter **converged** — an UNSAT with no blocks
     assumed, i.e. a proof that no DIP remains — or the solver hit its
     resource limit.  ``iterations`` counts DIPs across all rounds, exactly
-    like the scalar one-DIP-per-call loop did.
+    like a one-DIP-per-call loop would.
     """
 
     def __init__(
@@ -169,7 +168,6 @@ def sat_attack(
     conflict_limit: Optional[int] = 200_000,
     verify_vectors: int = 256,
     dip_batch: int = 8,
-    engine: str = "packed",
     solver_backend: str = DEFAULT_BACKEND,
     attack_name: str = "sat",
     proof_dir: Optional[Union[str, Path]] = None,
@@ -192,13 +190,6 @@ def sat_attack(
     dip_batch:
         Upper bound on DIPs harvested per round before a single batched
         oracle query answers them all (see the module docstring).
-    engine:
-        ``"packed"`` (default) enables batched DIP harvesting with the
-        auto-selected packed backend; ``"packed-bigint"`` /
-        ``"packed-numpy"`` pin the packed engine's evaluation backend (see
-        :data:`repro.engine.packed.ENGINE_CHOICES`); ``"scalar"`` forces
-        ``dip_batch=1`` and keeps the original one-DIP-per-solver-call
-        reference path.
     solver_backend:
         Registry name of the session's solver backend (``"cdcl"`` or the
         arena-tuned ``"cdcl-arena"``; see :mod:`repro.sat.session`).
@@ -208,11 +199,8 @@ def sat_attack(
         DRUP certificate checkable by ``repro check proof`` (see
         CHECKS.md); ``details["certificates"]`` counts the pairs written.
     """
-    batched, backend = parse_engine(engine)
     if dip_batch < 1:
         raise ValueError("dip_batch must be at least 1")
-    if not batched:
-        dip_batch = 1
 
     locked_circuit, original = _as_locked_pair(locked, oracle_circuit)
     start = time.monotonic()
@@ -227,7 +215,7 @@ def sat_attack(
     locked_view = locked_circuit.combinational_view() if locked_circuit.dffs else locked_circuit
     # Batched oracle: DIP queries are inherently one-at-a-time, but the final
     # key verification and any sampling ride the packed engine for free.
-    oracle = BatchedCombinationalOracle(original, backend=backend)
+    oracle = BatchedCombinationalOracle(original)
 
     key_nets = list(locked_view.key_inputs)
     functional_nets = [n for n in locked_view.inputs if n not in set(key_nets)]
@@ -267,7 +255,6 @@ def sat_attack(
     def finish(outcome: AttackOutcome, key: Optional[Dict[str, int]] = None, **details) -> AttackResult:
         payload = {
             "oracle_queries": oracle.queries,
-            "engine": engine,
             "dip_rounds": dip_rounds,
             "solver": session.telemetry.to_dict(),
             **details,
@@ -319,11 +306,7 @@ def sat_attack(
             round_quota = min(round_quota * 2, dip_batch)
         if harvested:
             dip_rounds += 1
-            if batched:
-                responses = oracle.query_batch(harvested)
-            else:
-                responses = [oracle.query(dip) for dip in harvested]
-            for dip, response in zip(harvested, responses):
+            for dip, response in zip(harvested, oracle.query_batch(harvested)):
                 add_dip_constraints(dip, response)
         elif harvester.solver_limited:
             return finish(AttackOutcome.TIMEOUT, reason="solver limit during DIP search")

@@ -17,7 +17,7 @@ managed (fresh vs incremental) and whether implied key bits are fixed after
 every round ("key-condition crunching"); those switches are exposed as
 parameters of :func:`sequential_oracle_guided_attack`.
 
-The hot loop rides the packed engine (``engine="packed"``, the default):
+The hot loop rides the packed engine:
 
 * **Batched DIS harvesting** — instead of one solver call / one oracle query
   per refinement step, up to ``dis_batch`` distinct DISes are enumerated per
@@ -36,13 +36,12 @@ equivalence.packed_candidate_key_filter`), mirroring FALL's combinational
   candidate prefilter; refuted candidates never reach the per-key
   verification.
 
-``engine="scalar"`` preserves the original one-DIS-at-a-time path (scalar
-oracle, rebuild-and-replay on every depth increase) as the bit-exact
-reference.  Both engines prove the same facts, so the semantic verdicts
-(CORRECT / CNS) agree whenever both run to convergence; under a *tight*
-``max_iterations`` the batched path may spend part of the budget on
-speculatively harvested DISes the scalar path never needed, so budget-bound
-outcomes (TIMEOUT) can differ near the cap.
+``dis_batch=1, key_batch=1`` runs one DIS per solver call and verifies one
+candidate key at a time.  Every batch width proves the same facts, so the
+semantic verdicts (CORRECT / CNS) agree whenever the attack runs to
+convergence; under a *tight* ``max_iterations`` a wide batch may spend part
+of the budget on speculatively harvested DISes a narrower one never needed,
+so budget-bound outcomes (TIMEOUT) can differ near the cap.
 """
 
 from __future__ import annotations
@@ -51,15 +50,13 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.attacks.oracle import SequentialOracle
 from repro.attacks.results import AttackOutcome, AttackResult
 from repro.attacks.unroll import encode_unrolled, extend_unrolled
 from repro.engine.batch_oracle import BatchedSequentialOracle
 from repro.engine.equivalence import packed_candidate_key_filter
-from repro.engine.packed import parse_engine
 from repro.locking.base import LockedCircuit, pack_key_bits
 from repro.netlist.circuit import Circuit
-from repro.sat.session import DEFAULT_BACKEND, SolveSession, SolverTelemetry
+from repro.sat.session import DEFAULT_BACKEND, SolveSession
 from repro.sat.tseitin import TseitinEncoder
 from repro.sim.equivalence import sequential_equivalence_check
 from repro.trace.writer import trace_event
@@ -118,7 +115,8 @@ def _block_input_sequence(
 
 
 class _DepthAttackState:
-    """Solve session plus unrolling bookkeeping for one unroll depth."""
+    """Solve session plus unrolling bookkeeping, extended in place as the
+    unroll depth grows."""
 
     def __init__(
         self,
@@ -129,13 +127,12 @@ class _DepthAttackState:
         solver_backend: str = DEFAULT_BACKEND,
         conflict_limit: Optional[int] = None,
         deadline: Optional[float] = None,
-        telemetry: Optional[SolverTelemetry] = None,
         proof_dir: Optional[Union[str, Path]] = None,
         proof_label: str = "query",
     ) -> None:
         self.session = SolveSession(
             solver_backend, conflict_limit=conflict_limit, deadline=deadline,
-            telemetry=telemetry, proof_path=proof_dir, proof_label=proof_label,
+            proof_path=proof_dir, proof_label=proof_label,
         )
         self.encoder = self.session.encoder
         self.depth = depth
@@ -236,7 +233,6 @@ def sequential_oracle_guided_attack(
     verify_length: int = 48,
     dis_batch: int = 8,
     key_batch: int = 8,
-    engine: str = "packed",
     solver_backend: str = DEFAULT_BACKEND,
     proof_dir: Optional[Union[str, Path]] = None,
 ) -> AttackResult:
@@ -245,20 +241,14 @@ def sequential_oracle_guided_attack(
     ``dis_batch`` bounds how many DISes one solver round harvests before a
     single batched oracle query answers them all; ``key_batch`` bounds how
     many candidate keys are enumerated for the packed prefilter at key
-    extraction.  ``engine="scalar"`` forces both to 1 and keeps the original
-    scalar-oracle, rebuild-per-depth reference path.  ``solver_backend``
-    selects the CDCL backend every depth's session is built from; the
-    accumulated telemetry lands in ``details["solver"]``.  ``proof_dir``
-    arms certified mode: every depth's session writes a DRUP certificate
+    extraction.  ``solver_backend`` selects the CDCL backend of the attack's
+    one solve session; its telemetry lands in ``details["solver"]``.
+    ``proof_dir`` arms certified mode: the session writes a DRUP certificate
     pair there for each UNSAT answer (``repro check proof`` replays them),
     and the pair count lands in ``details["certificates"]``.
     """
-    batched, backend = parse_engine(engine)
     if dis_batch < 1 or key_batch < 1:
         raise ValueError("dis_batch and key_batch must be at least 1")
-    if not batched:
-        dis_batch = 1
-        key_batch = 1
 
     locked_circuit, original = _as_locked_pair(locked, oracle_circuit)
     start = time.monotonic()
@@ -268,11 +258,7 @@ def sequential_oracle_guided_attack(
         return AttackResult(attack=attack_name, outcome=AttackOutcome.FAIL,
                             details={"reason": "circuit has no key inputs"})
 
-    oracle = (
-        BatchedSequentialOracle(original, backend=backend)
-        if batched
-        else SequentialOracle(original)
-    )
+    oracle = BatchedSequentialOracle(original)
     key_nets = list(locked_circuit.key_inputs)
     functional_inputs = [n for n in locked_circuit.inputs if n not in set(key_nets)]
     shared_outputs = [o for o in locked_circuit.outputs if o in set(oracle.output_nets)]
@@ -283,17 +269,21 @@ def sequential_oracle_guided_attack(
     total_iterations = 0
     harvest_rounds = 0
     last_candidate: Optional[Dict[str, int]] = None
-    observations: List[Tuple[List[Dict[str, int]], List[Dict[str, int]]]] = []
     prefiltered_keys = 0
-    telemetry = SolverTelemetry(backend=solver_backend)
-    sessions: List[SolveSession] = []  # every depth's session, for certificate counting
+    depth = initial_depth
+    # One session for the whole attack: depth growth extends it in place.
+    state = _DepthAttackState(
+        locked_circuit, shared_outputs, depth,
+        solver_backend=solver_backend, conflict_limit=conflict_limit,
+        deadline=deadline, proof_dir=proof_dir, proof_label=f"{attack_name}-d{depth:02d}",
+    )
 
     def finish(outcome: AttackOutcome, key: Optional[Dict[str, int]] = None, **details) -> AttackResult:
-        payload = {"oracle_queries": oracle.queries, "engine": engine,
+        payload = {"oracle_queries": oracle.queries,
                    "prefiltered_keys": prefiltered_keys,
-                   "solver": telemetry.to_dict(), **details}
+                   "solver": state.session.telemetry.to_dict(), **details}
         if proof_dir is not None:
-            payload["certificates"] = sum(len(s.certificates) for s in sessions)
+            payload["certificates"] = len(state.session.certificates)
             payload["proof_dir"] = str(proof_dir)
         return AttackResult(
             attack=attack_name, outcome=outcome, key=key, iterations=total_iterations,
@@ -315,18 +305,6 @@ def sequential_oracle_guided_attack(
             state.depth,
         )
 
-    def new_state(depth: int) -> _DepthAttackState:
-        state = _DepthAttackState(
-            locked_circuit, shared_outputs, depth,
-            solver_backend=solver_backend, conflict_limit=conflict_limit,
-            deadline=deadline, telemetry=telemetry,
-            proof_dir=proof_dir, proof_label=f"{attack_name}-d{depth:02d}",
-        )
-        sessions.append(state.session)
-        return state
-
-    depth = initial_depth
-    state = new_state(depth)
     while depth <= max_depth:
         # Adaptive harvesting: start each depth with single-DIS rounds and
         # double the quota only while rounds keep filling it, so easy
@@ -387,19 +365,10 @@ def sequential_oracle_guided_attack(
             if len(harvested) >= round_quota:
                 round_quota = min(round_quota * 2, dis_batch)
             if harvested:
-                if batched:
-                    responses_list = oracle.query_batch(harvested)
-                else:
-                    responses_list = [oracle.query(dis) for dis in harvested]
-                for dis, responses in zip(harvested, responses_list):
+                for dis, responses in zip(harvested, oracle.query_batch(harvested)):
                     responses = [
                         {out: resp[out] for out in shared_outputs} for resp in responses
                     ]
-                    if not batched:
-                        # Only the scalar rebuild-per-depth path ever replays
-                        # past observations; the batched path keeps them
-                        # encoded across extend() and needs no copy.
-                        observations.append((dis, responses))
                     state.add_observation(functional_inputs, dis, responses)
                 if crunch_keys:
                     _crunch_key_conditions(state, key_nets, deadline)
@@ -452,11 +421,10 @@ def sequential_oracle_guided_attack(
             candidates.append(candidate)
 
         last_candidate = candidates[0]
-        if batched and len(candidates) > 1:
+        if len(candidates) > 1:
             survivors = packed_candidate_key_filter(
                 original, locked_circuit, candidates, key_nets,
                 num_sequences=verify_sequences, sequence_length=verify_length,
-                backend=backend,
             )
             prefiltered_keys += sum(1 for alive in survivors if not alive)
             candidates = [c for c, alive in zip(candidates, survivors) if alive]
@@ -467,14 +435,7 @@ def sequential_oracle_guided_attack(
         depth *= 2
         if depth > max_depth:
             break
-        if batched:
-            state.extend(depth)
-        else:
-            # Scalar reference path: rebuild at the new depth and replay
-            # the observations gathered at smaller depths.
-            state = new_state(depth)
-            for dis, responses in observations:
-                state.add_observation(functional_inputs, dis[:depth], responses[:depth])
+        state.extend(depth)
 
     return finish(AttackOutcome.WRONG_KEY, key=last_candidate,
                   reason="maximum unroll depth reached without a verified key",

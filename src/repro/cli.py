@@ -63,7 +63,6 @@ from repro.benchmarks_data import (
 from repro.locking.base import KeySchedule
 from repro.locking.baselines import lock_dklock, lock_harpoon, lock_rll, lock_sarlock, lock_ttlock
 from repro.locking.cutelock_str import CuteLockStr
-from repro.engine.packed import ENGINE_CHOICES
 from repro.netlist.bench import load_bench, save_bench
 from repro.sat.session import solver_backends
 from repro.synthesis.overhead import analyze_circuit
@@ -136,18 +135,14 @@ def _emit_json(payload: Dict[str, object], destination: Optional[str]) -> None:
 def _cmd_attack(args: argparse.Namespace) -> int:
     """Run one attack.  Exit codes: 0 defense held, 1 key recovered, 2 error.
 
-    The machine-readable surface (``--json``, ``--engine``, the exit codes)
-    is shared with campaign workers and scripts: a crash inside the attack is
-    reported as structured output and exit code 2 instead of a traceback.
+    The machine-readable surface (``--json``, the exit codes) is shared with
+    campaign workers and scripts: bad input and a crash inside the attack
+    are reported as structured output and exit code 2 instead of a
+    traceback or a misleading verdict.
     """
     attack = _ATTACKS[args.attack]
     kwargs: Dict[str, object] = {"time_limit": args.time_limit}
     parameters = inspect.signature(attack).parameters
-    if "engine" in parameters:
-        kwargs["engine"] = args.engine
-    elif args.engine != "packed":
-        print(f"note: {args.attack} has no engine switch; --engine ignored",
-              file=sys.stderr)
     if "solver_backend" in parameters:
         kwargs["solver_backend"] = args.solver_backend
     certify_dir: Optional[Path] = None
@@ -176,6 +171,14 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
             validate_circuit(locked, strict=True)
             validate_circuit(oracle, strict=True)
+        if not locked.key_inputs:
+            # Every attack needs a key to search for; without one the verdict
+            # ("defense held") would be meaningless.  The usual cause is the
+            # locked and oracle arguments given in the wrong order.
+            raise ValueError(
+                f"locked netlist {args.locked} has no key inputs "
+                "(are the locked and oracle arguments swapped?)"
+            )
         if trace_path is not None:
             from repro.trace import trace_to
 
@@ -268,11 +271,11 @@ def _campaign_spec(args: argparse.Namespace, store) -> "object":
     """Resolve the campaign spec for one ``campaign`` subcommand.
 
     ``run`` always builds the grid from its flags (``--grid``/``--full``/
-    ``--time-limit``/``--engine``) and persists it as the store's manifest —
-    so changed flags take effect instead of being silently shadowed by an
-    older manifest; cells unchanged by the flags keep their content-hashed
-    keys and are still skipped.  ``resume``/``status``/``report`` always use
-    the stored manifest.
+    ``--time-limit``/``--solver-backend``) and persists it as the store's
+    manifest — so changed flags take effect instead of being silently
+    shadowed by an older manifest; cells unchanged by the flags keep their
+    content-hashed keys and are still skipped.  ``resume``/``status``/
+    ``report`` always use the stored manifest.
     """
     if args.command_campaign == "run":
         from repro.experiments.campaigns import build_campaign
@@ -281,7 +284,6 @@ def _campaign_spec(args: argparse.Namespace, store) -> "object":
             args.grid or "full",
             quick=not args.full,
             attack_time_limit=args.time_limit,
-            engine=args.engine,
             solver_backend=args.solver_backend,
         )
     if store.has_manifest():
@@ -458,35 +460,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
         return 1 if findings else 0
 
     if args.command_check == "program":
-        from repro.check.program import (
-            KernelVerificationError,
-            verify_compiled,
-            verify_compiled_numpy,
-        )
+        from repro.check.program import KernelVerificationError, verify_compiled
         from repro.engine.compiler import compile_circuit
         from repro.netlist.circuit import CircuitError
 
-        targets = ("bigint", "numpy") if args.target == "both" else (args.target,)
         try:
             circuit = load_bench(args.netlist)
             # codegen=False: verify the kernel source without executing it.
-            # Neither target needs numpy importable — only running does.
             compiled = compile_circuit(circuit, codegen=False)
-            counts = {}
-            for target in targets:
-                verifier = verify_compiled if target == "bigint" else verify_compiled_numpy
-                counts[target] = len(verifier(compiled))
+            count = len(verify_compiled(compiled))
         except KernelVerificationError as exc:
             print(f"check program: {exc}", file=sys.stderr)
             return 1
         except (OSError, CircuitError) as exc:
             print(f"check program: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
-        summary = ", ".join(
-            f"{count} {target} kernel ops" for target, count in counts.items()
-        )
         print(f"check program: {circuit.name}: verified "
-              f"{summary} over {compiled.num_slots} slots "
+              f"{count} kernel ops over {compiled.num_slots} slots "
               f"({compiled.num_levels} levels)")
         return 0
 
@@ -763,11 +753,6 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("oracle")
     attack.add_argument("--attack", default="sat", choices=sorted(_ATTACKS))
     attack.add_argument("--time-limit", type=float, default=60.0)
-    attack.add_argument("--engine", default="packed", choices=list(ENGINE_CHOICES),
-                        help="packed = batched DIP/DIS harvesting with the "
-                             "auto-selected backend (default); packed-bigint/"
-                             "packed-numpy pin the packed evaluation backend; "
-                             "scalar = bit-exact legacy path")
     attack.add_argument("--solver-backend", default="cdcl",
                         choices=list(solver_backends()),
                         help="CDCL session backend: cdcl = reference solver; "
@@ -883,8 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "quick subsets")
     campaign_run.add_argument("--time-limit", type=float, default=20.0,
                               help="per-attack time budget in seconds")
-    campaign_run.add_argument("--engine", default="packed",
-                              choices=list(ENGINE_CHOICES))
     campaign_run.add_argument("--solver-backend", default="cdcl",
                               choices=list(solver_backends()),
                               help="CDCL session backend every attack cell "
@@ -1009,11 +992,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "without executing it (the same verifier the engine runs "
                     "before exec under REPRO_CHECK_KERNELS=1).")
     check_program.add_argument("netlist", help=".bench netlist")
-    check_program.add_argument(
-        "--target", default="both", choices=["bigint", "numpy", "both"],
-        help="which codegen target's kernels to verify (default: both; "
-             "verification never executes them, so numpy need not be "
-             "installed)")
     check_program.set_defaults(func=_cmd_check)
 
     check_cnf_p = check_sub.add_parser(

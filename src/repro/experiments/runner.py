@@ -39,7 +39,6 @@ def run_all(
     workers: int = 0,
     store_path: Optional[str] = None,
     job_timeout: Optional[float] = None,
-    engine: str = "packed",
     solver_backend: str = "cdcl",
 ) -> Dict[str, ExperimentTable]:
     """Run every table/figure driver and return the tables by name.
@@ -58,7 +57,7 @@ def run_all(
 
     start = time.monotonic()
     spec = build_campaign(
-        "full", quick=quick, attack_time_limit=attack_time_limit, engine=engine,
+        "full", quick=quick, attack_time_limit=attack_time_limit,
         solver_backend=solver_backend,
     )
     store = ResultStore(store_path)

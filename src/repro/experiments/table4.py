@@ -63,7 +63,6 @@ def table4_jobs(
     num_locked_ffs: int = 2,
     seed: int = 4,
     max_key_width: Optional[int] = None,
-    engine: str = "packed",
     solver_backend: str = "cdcl",
 ) -> List[JobSpec]:
     """Declare the Table IV grid: one job per (benchmark, attack) cell.
@@ -89,7 +88,6 @@ def table4_jobs(
                 "num_locked_ffs": num_locked_ffs,
                 "seed": seed,
                 "max_key_width": max_key_width,
-                "engine": engine,
                 "solver_backend": solver_backend,
             },
         )
@@ -132,8 +130,7 @@ def run_table4_cell(params: Mapping[str, object]) -> Dict[str, object]:
         result = attack(
             locked, time_limit=time_limit,
             max_depth=int(params.get("max_depth", 8)),  # type: ignore[arg-type]
-            engine=str(params.get("engine", "packed")),
-            solver_backend=solver_backend,
+                solver_backend=solver_backend,
         )
     return {
         "circuit": name,
@@ -241,7 +238,6 @@ def run_table4(
     num_locked_ffs: int = 2,
     seed: int = 4,
     max_key_width: Optional[int] = None,
-    engine: str = "packed",
     solver_backend: str = "cdcl",
     workers: int = 0,
     store: Union[ResultStore, str, None] = None,
@@ -258,7 +254,7 @@ def run_table4(
         quick=quick, benchmarks=benchmarks, attacks=attacks,
         time_limit=time_limit, max_depth=max_depth, rane_depth=rane_depth,
         num_locked_ffs=num_locked_ffs, seed=seed, max_key_width=max_key_width,
-        engine=engine, solver_backend=solver_backend,
+        solver_backend=solver_backend,
     )
     spec = CampaignSpec(name="table4", jobs=jobs)
     result_store = store if isinstance(store, ResultStore) else ResultStore(store)

@@ -110,7 +110,7 @@ def quine_mccluskey(
     on_set = sorted(set(minterms))
     if not on_set:
         return []
-    if not 0 <= min(on_set) and max(on_set) < (1 << num_vars):
+    if not (0 <= min(on_set) and max(on_set) < (1 << num_vars)):
         raise ValueError("minterm out of range")
     primes = prime_implicants(on_set, dont_cares, num_vars)
 

@@ -3,9 +3,11 @@
 The two gating benches port ``benchmarks/bench_sequential_attack_throughput.py``:
 SARLock on the embedded ISCAS'89 ``s5378`` profile is the canonical
 "one DIS per wrong key" scheme, so the DIS-refinement loop runs for exactly
-the iteration cap on both engines and rounds/second compare identical work.
-The packed-engine loop (lane-parallel ``query_batch``, amortized rebuilds)
-must beat the scalar one-DIS-at-a-time path by the recorded bar.
+the iteration cap at both batch widths and rounds/second compare identical
+work.  The batched loop (``dis_batch=16``: lane-parallel ``query_batch``,
+amortized rebuilds) must beat the same loop at ``dis_batch=1,
+key_batch=1`` (one DIS per solver call, one candidate key at a time) by the
+recorded bar.
 
 ``attacks.baseline_sat`` and ``attacks.sanity_singlekey`` carry no bars:
 their correctness is pinned by the pytest suites; here they contribute
@@ -21,7 +23,7 @@ from typing import Dict
 from repro.perf.harness import Harness
 from repro.perf.registry import Bar, perf_benchmark
 
-#: DIS-loop shape shared by both engines (matches the pytest benches).
+#: DIS-loop shape shared by both sides (matches the pytest benches).
 DIS_BATCH = 16
 DEPTH = 3
 
@@ -35,8 +37,8 @@ def locked_s5378(num_key_bits: int = 8, seed: int = 7):
                         num_key_bits=num_key_bits, seed=seed)
 
 
-def dis_loop_rate(locked, *, engine: str, incremental: bool, crunch_keys: bool,
-                  max_iterations: int):
+def dis_loop_rate(locked, *, dis_batch: int, key_batch: int, incremental: bool,
+                  crunch_keys: bool, max_iterations: int):
     """Run the capped DIS loop and return (result, rounds/s, elapsed)."""
     from repro.attacks.sequential_core import sequential_oracle_guided_attack
 
@@ -46,8 +48,8 @@ def dis_loop_rate(locked, *, engine: str, incremental: bool, crunch_keys: bool,
             attack_name="bench",
             incremental=incremental,
             crunch_keys=crunch_keys,
-            engine=engine,
-            dis_batch=DIS_BATCH,
+            dis_batch=dis_batch,
+            key_batch=key_batch,
             initial_depth=DEPTH,
             max_depth=DEPTH,
             max_iterations=max_iterations,
@@ -63,31 +65,31 @@ def _dis_loop_speedup(
 ) -> Dict[str, float]:
     max_iterations = int(params["max_iterations"])
     locked = locked_s5378()
-    packed, packed_rate, packed_elapsed = dis_loop_rate(
-        locked, engine="packed", incremental=incremental,
+    batched, batched_rate, batched_elapsed = dis_loop_rate(
+        locked, dis_batch=DIS_BATCH, key_batch=8, incremental=incremental,
         crunch_keys=crunch_keys, max_iterations=max_iterations)
-    scalar, scalar_rate, _ = dis_loop_rate(
-        locked, engine="scalar", incremental=incremental,
+    unit, unit_rate, _ = dis_loop_rate(
+        locked, dis_batch=1, key_batch=1, incremental=incremental,
         crunch_keys=crunch_keys, max_iterations=max_iterations)
 
     # Identical work and identical verdicts before the rates mean anything.
-    if not (packed.iterations == scalar.iterations == max_iterations):
+    if not (batched.iterations == unit.iterations == max_iterations):
         raise RuntimeError(
-            f"engines ran different DIS-round counts: packed "
-            f"{packed.iterations}, scalar {scalar.iterations}, "
+            f"batch widths ran different DIS-round counts: batched "
+            f"{batched.iterations}, unit {unit.iterations}, "
             f"cap {max_iterations}")
-    if packed.outcome != scalar.outcome:
+    if batched.outcome != unit.outcome:
         raise RuntimeError(
-            f"engines disagree on the attack outcome: "
-            f"{packed.outcome} vs {scalar.outcome}")
-    if packed.details["oracle_queries"] != scalar.details["oracle_queries"]:
-        raise RuntimeError("engines spent different oracle-query budgets")
+            f"batch widths disagree on the attack outcome: "
+            f"{batched.outcome} vs {unit.outcome}")
+    if batched.details["oracle_queries"] != unit.details["oracle_queries"]:
+        raise RuntimeError("batch widths spent different oracle-query budgets")
 
-    harness.record_series("packed_loop", [packed_elapsed])
+    harness.record_series("packed_loop", [batched_elapsed])
     return {
-        "packed_rate": packed_rate,
-        "scalar_rate": scalar_rate,
-        "speedup": packed_rate / scalar_rate,
+        "packed_rate": batched_rate,
+        "unit_rate": unit_rate,
+        "speedup": batched_rate / unit_rate,
     }
 
 

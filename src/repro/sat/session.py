@@ -146,26 +146,26 @@ class SolverTelemetry:
 # --------------------------------------------------------------------------- #
 SolverFactory = Callable[[], object]
 
-_BACKENDS: Dict[str, SolverFactory] = {}
+_SOLVER_REGISTRY: Dict[str, SolverFactory] = {}
 
 
 def register_solver_backend(
     name: str, factory: SolverFactory, *, override: bool = False
 ) -> None:
     """Bind ``name`` to a zero-argument solver factory."""
-    if not override and name in _BACKENDS:
+    if not override and name in _SOLVER_REGISTRY:
         raise ValueError(f"solver backend {name!r} is already registered")
-    _BACKENDS[name] = factory
+    _SOLVER_REGISTRY[name] = factory
 
 
 def solver_backends() -> Tuple[str, ...]:
     """Registered backend names (sorted, for CLI choices and error text)."""
-    return tuple(sorted(_BACKENDS))
+    return tuple(sorted(_SOLVER_REGISTRY))
 
 
 def create_solver(backend: str = DEFAULT_BACKEND):
     """Instantiate a solver through the registry."""
-    factory = _BACKENDS.get(backend)
+    factory = _SOLVER_REGISTRY.get(backend)
     if factory is None:
         raise ValueError(
             f"unknown solver backend {backend!r}; registered backends: "

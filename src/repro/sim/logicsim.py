@@ -166,13 +166,9 @@ def toggle_counts(
     histories; ``engine="scalar"`` keeps the original dict-based loop as the
     reference implementation.  Both produce identical counts.
     """
-    from repro.engine.packed import parse_engine
-
-    # Toggle counting advances state cycle by cycle (width-1 passes), so the
-    # packed backend choice is irrelevant here — any packed-* spelling takes
-    # the compiled-program path.
-    batched, _ = parse_engine(engine)
-    if batched:
+    if engine not in ("packed", "scalar"):
+        raise ValueError(f"unknown engine {engine!r} (expected 'packed' or 'scalar')")
+    if engine == "packed":
         from repro.engine.equivalence import packed_toggle_counts
 
         return packed_toggle_counts(circuit, input_vectors, initial_state=initial_state)

@@ -33,8 +33,7 @@ from repro.experiments.table3 import aggregate_table3, run_table3, table3_jobs
 #: One cheap benchmark x two attack modes: small enough for CI, wide enough
 #: to exercise multi-cell aggregation.  The generous time limit keeps both
 #: cells far from the budget boundary, which is what makes the outcomes —
-#: and therefore the aggregated tables — deterministic across engines and
-#: worker counts.
+#: and therefore the aggregated tables — deterministic across worker counts.
 GRID = dict(benchmarks=["bcomp"], attacks=["INT", "KC2"], time_limit=60.0)
 
 

@@ -24,7 +24,7 @@ from repro.sat.tseitin import TseitinEncoder
 FAST = settings(max_examples=50, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
-BACKENDS = ("cdcl", "cdcl-arena")
+BACKEND_NAMES = ("cdcl", "cdcl-arena")
 
 
 @st.composite
@@ -55,7 +55,7 @@ def brute_force(clauses, num_vars):
 def test_backends_agree_with_brute_force(instance):
     num_vars, clauses = instance
     expected = brute_force(clauses, num_vars)
-    for backend in BACKENDS:
+    for backend in BACKEND_NAMES:
         solver = create_solver(backend)
         solver.add_clauses(clauses)
         answer = solver.solve()
@@ -79,7 +79,7 @@ def test_backends_agree_under_incremental_assumptions(instance, seed):
         for _ in range(4)
     ]
     solvers = {}
-    for backend in BACKENDS:
+    for backend in BACKEND_NAMES:
         solvers[backend] = create_solver(backend)
         solvers[backend].add_clauses(clauses)
     for assumptions in assumption_sets:
@@ -116,7 +116,7 @@ def test_backends_agree_on_locked_circuit_miters(seed):
     )
 
     sessions = {
-        backend: SolveSession(backend, encoder=encoder) for backend in BACKENDS
+        backend: SolveSession(backend, encoder=encoder) for backend in BACKEND_NAMES
     }
     rng = random.Random(seed)
     key_pairs = [
@@ -162,7 +162,7 @@ def test_backends_stay_invariant_clean_with_sanitizer_on(instance, seed):
         rng.choice([1, -1]) * rng.randint(1, num_vars)
         for _ in range(rng.randint(0, 2))
     ]
-    for backend in BACKENDS:
+    for backend in BACKEND_NAMES:
         solver = create_solver(backend)
         solver.check_invariants = True  # REPRO_CHECK_SOLVER=1 equivalent
         solver.add_clauses(clauses)
@@ -177,7 +177,7 @@ def test_backends_agree_exhaustively_on_tiny_formulas():
         for c2 in itertools.combinations(literals, 2):
             clauses = [list(c1), list(c2)]
             answers = set()
-            for backend in BACKENDS:
+            for backend in BACKEND_NAMES:
                 solver = create_solver(backend)
                 solver.add_clauses(clauses)
                 answers.add(solver.solve())

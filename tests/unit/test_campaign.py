@@ -761,6 +761,8 @@ class TestBuildCampaign:
             build_campaign("nope")
 
     def test_single_table_grid_parameters_propagate(self):
-        spec = build_campaign("table3", attack_time_limit=7.5, engine="scalar")
+        spec = build_campaign("table3", attack_time_limit=7.5,
+                              solver_backend="cdcl-arena")
         assert all(job.params["time_limit"] == 7.5 for job in spec.jobs)
-        assert all(job.params["engine"] == "scalar" for job in spec.jobs)
+        assert all(job.params["solver_backend"] == "cdcl-arena" for job in spec.jobs)
+        assert not any("engine" in job.params for job in spec.jobs)

@@ -67,7 +67,7 @@ def test_plain_clause_iterables_accepted():
 # --------------------------------------------------------------------- #
 # clean solver states are silent (both backends)
 # --------------------------------------------------------------------- #
-BACKENDS = [Solver, ArenaSolver]
+SOLVER_CLASSES = [Solver, ArenaSolver]
 PIGEON_6 = [
     # 3 pigeons / 2 holes: small, UNSAT, exercises learning + backtracking.
     [1, 2], [3, 4], [5, 6],
@@ -76,7 +76,7 @@ PIGEON_6 = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SOLVER_CLASSES)
 def test_fresh_solver_is_clean(backend):
     solver = backend()
     solver.add_clauses([[1, 2, 3], [-1, 2], [-2, 3]])
@@ -84,7 +84,7 @@ def test_fresh_solver_is_clean(backend):
     assert_solver_invariants(solver)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SOLVER_CLASSES)
 def test_solver_with_sanitizer_enabled_solves_clean(backend):
     sat = backend()
     sat.check_invariants = True
@@ -98,7 +98,7 @@ def test_solver_with_sanitizer_enabled_solves_clean(backend):
     assert unsat.solve() is False
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SOLVER_CLASSES)
 def test_env_flag_arms_sanitizer(backend, monkeypatch):
     monkeypatch.setenv("REPRO_CHECK_SOLVER", "1")
     assert backend().check_invariants

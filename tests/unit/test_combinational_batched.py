@@ -1,10 +1,10 @@
 """Batched DIP harvesting in the combinational attacks (SAT / AppSAT).
 
-Mirrors ``test_sequential_batched.py`` for the combinational DIP loop: the
-packed engine (activation-gated blocking clauses, one ``query_batch`` per
-round) must prove the same facts as the scalar one-DIP-per-solver-call
-reference path, so attack outcomes and recovered keys agree on schemes the
-attacks break and on schemes they provably cannot.
+Mirrors ``test_sequential_batched.py`` for the combinational DIP loop: every
+key the packed-engine attacks report as ``CORRECT`` on a baseline scheme is
+confirmed by the independent scalar random equivalence check, and a unit
+batch (``dip_batch=1``, one DIP per solver call) recovers the same key as
+the default batch width.
 """
 
 import pytest
@@ -14,8 +14,19 @@ from repro.attacks.results import AttackOutcome, AttackResult
 from repro.fsm.random_fsm import random_fsm
 from repro.fsm.synthesis import synthesize_fsm
 from repro.locking.baselines import lock_rll, lock_sarlock, lock_ttlock
+from repro.sim.equivalence import random_equivalence_check
 
 BUDGET = dict(time_limit=30.0)
+
+
+def assert_key_confirmed(locked, result):
+    """The attack claims ``CORRECT`` and the scalar reference agrees."""
+    assert result.outcome is AttackOutcome.CORRECT
+    check = random_equivalence_check(
+        locked.original, locked.circuit, key_assignment=result.key,
+        num_vectors=512, seed=11, engine="scalar",
+    )
+    assert check.equivalent, check.counterexample
 
 
 @pytest.fixture(scope="module")
@@ -33,51 +44,41 @@ def locked_variants(base_circuit):
 
 
 class TestSatAttackEngines:
-    @pytest.mark.parametrize("scheme", ["rll", "sarlock", "ttlock"])
-    def test_packed_and_scalar_agree(self, locked_variants, scheme):
-        locked = locked_variants[scheme]
-        packed = sat_attack(locked, engine="packed", **BUDGET)
-        scalar = sat_attack(locked, engine="scalar", **BUDGET)
-        assert packed.outcome == scalar.outcome == AttackOutcome.CORRECT
-        assert packed.key == scalar.key
-        assert packed.details["engine"] == "packed"
-        assert scalar.details["engine"] == "scalar"
+    """The packed-engine SAT attack, checked against the scalar reference."""
 
-    def test_packed_with_unit_batch_matches_scalar_iterations(self, locked_variants):
-        """``dip_batch=1`` disables harvesting: both paths do identical work."""
+    @pytest.mark.parametrize("scheme", ["rll", "sarlock", "ttlock"])
+    def test_baseline_key_is_confirmed(self, locked_variants, scheme):
+        locked = locked_variants[scheme]
+        assert_key_confirmed(locked, sat_attack(locked, **BUDGET))
+
+    def test_unit_batch_recovers_the_default_key(self, locked_variants):
+        """``dip_batch=1`` harvests one DIP per call and finds the same key."""
         locked = locked_variants["sarlock"]
-        packed = sat_attack(locked, engine="packed", dip_batch=1, **BUDGET)
-        scalar = sat_attack(locked, engine="scalar", **BUDGET)
-        assert packed.iterations == scalar.iterations
-        assert packed.details["oracle_queries"] == scalar.details["oracle_queries"]
-        assert packed.key == scalar.key
+        unit = sat_attack(locked, dip_batch=1, **BUDGET)
+        default = sat_attack(locked, **BUDGET)
+        assert_key_confirmed(locked, unit)
+        assert unit.key == default.key
+        assert unit.details["dip_rounds"] == unit.iterations
 
     def test_batched_rounds_are_fewer_than_iterations(self, locked_variants):
         """On SARLock (one DIP per wrong key) harvesting batches the loop."""
-        result = sat_attack(locked_variants["sarlock"], engine="packed",
-                            dip_batch=8, **BUDGET)
+        result = sat_attack(locked_variants["sarlock"], dip_batch=8, **BUDGET)
         assert result.outcome is AttackOutcome.CORRECT
         assert result.details["dip_rounds"] < result.iterations
 
-    def test_engine_validation(self, locked_variants):
-        with pytest.raises(ValueError, match="unknown engine"):
-            sat_attack(locked_variants["rll"], engine="warp", **BUDGET)
+    def test_dip_batch_validation(self, locked_variants):
         with pytest.raises(ValueError, match="dip_batch"):
             sat_attack(locked_variants["rll"], dip_batch=0, **BUDGET)
 
 
 class TestAppSatEngines:
-    def test_packed_and_scalar_agree_on_sarlock(self, locked_variants):
-        locked = locked_variants["sarlock"]
-        packed = appsat_attack(locked, engine="packed", **BUDGET)
-        scalar = appsat_attack(locked, engine="scalar", **BUDGET)
-        assert packed.key is not None and scalar.key is not None
-        assert packed.outcome == scalar.outcome
-        assert packed.details["engine"] == "packed"
+    """The packed-engine AppSAT attack, checked against the scalar reference."""
 
-    def test_engine_validation(self, locked_variants):
-        with pytest.raises(ValueError, match="unknown engine"):
-            appsat_attack(locked_variants["rll"], engine="warp", **BUDGET)
+    def test_correct_key_is_confirmed(self, locked_variants):
+        locked = locked_variants["sarlock"]
+        assert_key_confirmed(locked, appsat_attack(locked, **BUDGET))
+
+    def test_dip_batch_validation(self, locked_variants):
         with pytest.raises(ValueError, match="dip_batch"):
             appsat_attack(locked_variants["rll"], dip_batch=-1, **BUDGET)
 
@@ -87,7 +88,7 @@ class TestAttackResultSerialisation:
         result = AttackResult(
             attack="sat", outcome=AttackOutcome.CNS,
             key={"k0": 1, "k1": 0}, iterations=7, runtime_seconds=1.25,
-            details={"oracle_queries": 12, "engine": "packed"},
+            details={"oracle_queries": 12, "dip_rounds": 3},
         )
         rebuilt = AttackResult.from_dict(result.to_dict())
         assert rebuilt.attack == "sat"

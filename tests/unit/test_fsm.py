@@ -110,6 +110,11 @@ class TestQuineMccluskey:
     def test_empty_onset(self):
         assert quine_mccluskey([], 3) == []
 
+    def test_minterm_above_the_variable_space_rejected(self):
+        # 99 does not fit in 2 variables; it must not come back as a cube.
+        with pytest.raises(ValueError, match="out of range"):
+            quine_mccluskey([1, 99], 2)
+
     def test_random_functions_covered_exactly(self):
         rng = random.Random(7)
         for _ in range(20):

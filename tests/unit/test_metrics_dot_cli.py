@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from repro.benchmarks_data.iscas89 import s27_circuit
 from repro.cli import main as cli_main
 from repro.fsm.dot import fsm_to_dot, locked_fsm_to_dot, wrongful_map_to_dot
 from repro.fsm.random_fsm import random_fsm, sequence_detector_fsm
 from repro.fsm.synthesis import synthesize_fsm
 from repro.locking.base import KeySchedule
+from repro.locking.baselines import lock_rll
 from repro.locking.cutelock_beh import CuteLockBeh
 from repro.locking.cutelock_str import CuteLockStr
 from repro.locking.metrics import (
@@ -121,7 +123,7 @@ class TestCli:
                          "--key-width", "4", "--output", str(out_path)]) == 0
         assert out_path.exists()
 
-    def test_attack_engine_flag_and_json_stdout(self, tmp_path, locked_pair, capsys):
+    def test_attack_json_stdout(self, tmp_path, locked_pair, capsys):
         circuit, locked = locked_pair
         original_path = tmp_path / "design.bench"
         locked_path = tmp_path / "locked.bench"
@@ -129,14 +131,28 @@ class TestCli:
         save_bench(locked.circuit, locked_path)
         exit_code = cli_main([
             "attack", str(locked_path), str(original_path),
-            "--attack", "int", "--time-limit", "15",
-            "--engine", "scalar", "--json",
+            "--attack", "int", "--time-limit", "15", "--json",
         ])
         assert exit_code in (0, 1)  # ran to completion either way
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("{"):])
-        assert payload["details"]["engine"] == "scalar"
+        assert payload["details"]["oracle_queries"] > 0
         assert payload["outcome"]
+
+    def test_attack_without_key_inputs_exits_2(self, tmp_path, capsys):
+        # Swapped arguments: the "locked" netlist is the unlocked s27.
+        design = tmp_path / "s27.bench"
+        locked_path = tmp_path / "locked.bench"
+        save_bench(s27_circuit(), design)
+        save_bench(lock_rll(s27_circuit(), 3, seed=1).circuit, locked_path)
+        exit_code = cli_main([
+            "attack", str(design), str(locked_path), "--json",
+        ])
+        assert exit_code == 2
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert "no key inputs" in payload["error"]
+        assert "no key inputs" in captured.err
 
     def test_attack_error_exits_2_with_json_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.bench"

@@ -1,5 +1,5 @@
-"""Regression tests for PR 2: batched DIS harvesting, multi-word tiling,
-incremental unroll extension and the oracle-consistency bugfixes."""
+"""Batched DIS harvesting, multi-word tiling, incremental unroll extension,
+the oracle-consistency fixes and ground-truth checks of the attack verdicts."""
 
 import random
 import time
@@ -236,25 +236,36 @@ class TestCandidateKeyPrefilter:
 
 
 class TestEngineParity:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            int_attack(_collapsed_fsm(), engine="gpu")
+    """Packed-engine attack verdicts agree with the scalar reference."""
 
-    def test_collapsed_schedule_broken_by_both_engines(self):
+    def test_collapsed_schedule_key_is_confirmed(self):
         locked = _collapsed_fsm()
+        key_nets = list(locked.circuit.key_inputs)
         for attack in (bmc_attack, int_attack, kc2_attack):
-            outcomes = {}
-            for engine in ("scalar", "packed"):
-                result = attack(locked, max_depth=8, time_limit=30.0, engine=engine)
-                outcomes[engine] = result.outcome
-                assert result.details["engine"] == engine
-            assert outcomes["scalar"] == outcomes["packed"] == AttackOutcome.CORRECT
+            result = attack(locked, max_depth=8, time_limit=30.0)
+            assert result.outcome is AttackOutcome.CORRECT, attack.__name__
+            check = sequential_equivalence_check(
+                locked.original, locked.circuit,
+                key_schedule=[pack_key_bits(result.key, key_nets)],
+                key_inputs=key_nets, num_sequences=16, sequence_length=64,
+                seed=11, engine="scalar",
+            )
+            assert check.equivalent, (attack.__name__, check.counterexample)
 
-    def test_cutelock_resists_both_engines(self):
+    def test_cutelock_never_comes_back_correct(self):
         locked = _locked_fsm()
-        for engine in ("scalar", "packed"):
-            result = int_attack(locked, max_depth=8, time_limit=30.0, engine=engine)
+        for attack in (bmc_attack, int_attack, kc2_attack):
+            result = attack(locked, max_depth=8, time_limit=30.0)
+            assert result.outcome is not AttackOutcome.CORRECT, attack.__name__
             assert not result.broke_defense
+
+    def test_unit_batches_recover_the_default_key(self):
+        locked = _collapsed_fsm()
+        unit = int_attack(locked, max_depth=8, time_limit=30.0,
+                          dis_batch=1, key_batch=1)
+        default = int_attack(locked, max_depth=8, time_limit=30.0)
+        assert unit.outcome is default.outcome is AttackOutcome.CORRECT
+        assert unit.key == default.key
 
     def test_crunching_respects_tiny_deadline(self):
         locked = _locked_fsm()
